@@ -38,6 +38,7 @@
 //! * `action_streams_identical` == 1 and `alert_streams_identical` == 1
 //!   across workers 1/2/8.
 
+use smile_bench::get_num;
 use smile_core::catalog::BaseStats;
 use smile_core::platform::{ActionKind, Smile, SmileConfig};
 use smile_storage::delta::DeltaEntry;
@@ -126,7 +127,6 @@ fn build(workers: usize, adaptive: bool, n: usize) -> (Smile, RelationId, Relati
     let mut config = SmileConfig::with_machines(2);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.exec.workers = workers;
     config.machine_config.net_bandwidth = NET_BANDWIDTH;
     if adaptive {
@@ -502,17 +502,6 @@ fn emit_json(
         acti = i32::from(actions_identical),
         alei = i32::from(alerts_identical),
     )
-}
-
-/// The number that follows `"key":` — every validated key is unique.
-fn get_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn validate(path: &str) -> Result<(), String> {

@@ -31,6 +31,7 @@
 //! * `p99_growth_ratio` = indexed p99 at top ÷ at first checkpoint (≤ 10
 //!   required: admission latency stays flat while N grows 100×).
 
+use smile_bench::get_num;
 use smile_core::catalog::{BaseStats, Catalog};
 use smile_core::merge_catalog::MergeCatalog;
 use smile_core::multi::GlobalPlan;
@@ -363,18 +364,6 @@ fn emit_json(cfg: &Config, ix: &IndexedRun, br: &BruteRun) -> String {
             br.p99_us_at_cap / ix_near.window_p99_us
         },
     )
-}
-
-/// The number that follows `"key":`. Every validated key is unique in the
-/// schema, so a flat scan is unambiguous.
-fn get_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn validate(path: &str) -> Result<(), String> {

@@ -45,6 +45,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use smile_bench::get_num;
 use smile_core::catalog::BaseStats;
 use smile_core::platform::{Smile, SmileConfig};
 use smile_storage::delta::{DeltaBatch, DeltaEntry};
@@ -925,18 +926,6 @@ fn emit_json(cfg: &Config, arr_tps: f64, scan_tps: f64, t: &TickStats) -> String
         maintained = t.maintained,
         hr = t.hit_rate,
     )
-}
-
-/// Minimal extractor: the number that follows `"key":`. Every key in the
-/// schema is unique, so a flat scan is unambiguous.
-fn get_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Schema check for the BENCH_0003 parallel-push sweep. The ≥2× modeled

@@ -42,7 +42,7 @@
 //!   paper scale (≥ 0.9 required in full mode, ≥ 0.5 in quick), with both
 //!   arms moving byte-identical tuple counts.
 
-use smile_bench::drive;
+use smile_bench::{drive, get_num};
 use smile_core::catalog::BaseStats;
 use smile_core::platform::{Smile, SmileConfig};
 use smile_storage::delta::DeltaEntry;
@@ -132,7 +132,7 @@ fn build_platform(n: usize, calendar: bool) -> (Smile, Vec<RelationId>, f64) {
     let mut config = SmileConfig::with_machines(MACHINES);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = calendar;
+    config.exec.calendar_scheduling = calendar;
     let mut smile = Smile::new(config);
     let mut rels = Vec::new();
     for r in 0..RELATIONS {
@@ -248,7 +248,7 @@ struct Fig5Run {
 /// through one scheduler: end-to-end tuples/s over the drive phase.
 fn run_fig5(calendar: bool, secs: u64) -> Fig5Run {
     let mut config = SmileConfig::with_machines(MACHINES);
-    config.calendar_scheduling = calendar;
+    config.exec.calendar_scheduling = calendar;
     let mut smile = Smile::new(config);
     let mut workload = standard_setup(
         &mut smile,
@@ -431,18 +431,6 @@ fn emit_json(
         f5c_p99 = fig5_cal.sched_p99_us,
         f5s_p99 = fig5_scan.sched_p99_us,
     )
-}
-
-/// The number that follows `"key":`. Every validated key is unique in the
-/// schema, so a flat scan is unambiguous.
-fn get_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn validate(path: &str) -> Result<(), String> {

@@ -32,6 +32,7 @@
 //! * `page_fired` with `detection_secs` ≤ 180 after the regime shift and
 //!   a provably clean healthy phase (`healthy_misses` == 0).
 
+use smile_bench::get_num;
 use smile_core::catalog::BaseStats;
 use smile_core::platform::{Smile, SmileConfig};
 use smile_storage::delta::DeltaEntry;
@@ -126,7 +127,6 @@ fn build_platform(n: usize, observability: bool) -> (Smile, Vec<RelationId>) {
     let mut config = SmileConfig::with_machines(MACHINES);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.telemetry.enabled = observability;
     let mut smile = Smile::new(config);
     let mut rels = Vec::new();
@@ -281,7 +281,6 @@ fn run_regime_shift(healthy_secs: u64, max_secs: u64) -> ShiftOut {
     let mut config = SmileConfig::with_machines(2);
     config.capacity = CAPACITY;
     config.hill_climb = false;
-    config.calendar_scheduling = true;
     config.machine_config.net_bandwidth = SHIFT_NET_BANDWIDTH;
     let mut smile = Smile::new(config);
     let a = smile
@@ -528,17 +527,6 @@ fn emit_json(cfg: &Config, checkpoints: &[Checkpoint], shift: &ShiftOut) -> Stri
         misses = shift.misses,
         flight = shift.flight_incidents,
     )
-}
-
-/// The number that follows `"key":` — every validated key is unique.
-fn get_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn validate(path: &str) -> Result<(), String> {

@@ -276,6 +276,19 @@ pub fn percentile_sorted_f64(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+/// The number that follows `"key":` in a bench artifact — the minimal
+/// extractor behind every bench binary's `--validate`. Every validated key
+/// is unique in its schema, so a flat scan is unambiguous.
+pub fn get_num(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle)? + needle.len();
+    let rest = json[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Prints a CSV-ish table: header then rows, pipe-aligned for terminals.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

@@ -98,13 +98,6 @@ pub struct ExecConfig {
     /// byte-identical at any value. Defaults to the host's available
     /// parallelism, overridable with the `SMILE_WORKERS` env var.
     pub workers: usize,
-    /// Whether pushes use the columnar storage hot path (default): windows
-    /// are read as borrowed log slices, cross-machine frames ship and land
-    /// zero-copy, and join keys are probed in one batched pass. `false`
-    /// runs the legacy per-tuple row path — kept as the ablation and
-    /// differential-conformance baseline; results are byte-identical either
-    /// way (the wire format does not change).
-    pub columnar: bool,
     /// Event-driven push-calendar scheduling (default): a timer wheel
     /// tracks each sharing's projected fire tick and a tick evaluates only
     /// due slots, with cached per-sharing critical paths. `false` scans
@@ -127,7 +120,6 @@ impl Default for ExecConfig {
             command_latency: SimDuration::from_millis(5),
             retry: RetryPolicy::default(),
             workers: default_workers(),
-            columnar: true,
             calendar_scheduling: true,
         }
     }
@@ -1715,7 +1707,6 @@ impl Executor {
                 &dispatch,
                 self.config.workers,
                 &self.telemetry,
-                self.config.columnar,
             );
             let wave_span = tick_span.map(|_| self.telemetry.next_span_id());
             let wave_start = dispatch.iter().map(|d| d.submit).min().unwrap_or(now);

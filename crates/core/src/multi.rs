@@ -467,18 +467,12 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
                 .plan
                 .producer(*dst)
                 .ok_or_else(|| SmileError::InvalidPlan("join plumbing on source vertex".into()))?;
-            let EdgeOp::Join {
-                on,
-                delta_side,
-                snapshot,
-                snapshot_filter,
-                indexed,
-            } = producer.op.clone()
-            else {
+            let join_op = producer.op.clone();
+            if !matches!(join_op, EdgeOp::Join { .. }) {
                 return Err(SmileError::InvalidPlan(
                     "join plumbing target is not produced by a Join".into(),
                 ));
-            };
+            }
             let old_filter = producer.filter.clone();
 
             // Bring the delta stream to the relation's machine. Vertex
@@ -539,13 +533,7 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
             ensure_acyclic(&out.plan, half_at_rel)?;
             if out.plan.producer(half_at_rel).is_none() {
                 out.plan.add_edge(
-                    EdgeOp::Join {
-                        on,
-                        delta_side,
-                        snapshot,
-                        snapshot_filter,
-                        indexed,
-                    },
+                    join_op,
                     vec![local_delta, *rel_src],
                     half_at_rel,
                     old_filter,

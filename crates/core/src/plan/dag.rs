@@ -89,11 +89,6 @@ pub enum EdgeOp {
         /// Selection applied to the snapshot side before joining (the other
         /// base relation's pushed-down predicate).
         snapshot_filter: Predicate,
-        /// True when the snapshot side is probed through a persistent
-        /// arrangement on the join key; false forces the legacy per-push
-        /// full-scan build (the ablation path, priced separately by the cost
-        /// model).
-        indexed: bool,
     },
     /// Merge several delta streams into one.
     Union,
@@ -1117,7 +1112,6 @@ mod tests {
                         DeltaSide::Right => SnapshotSem::WindowEnd,
                     },
                     snapshot_filter: Predicate::True,
-                    indexed: true,
                 },
                 vec![d, r],
                 out,

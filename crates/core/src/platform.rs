@@ -67,32 +67,10 @@ pub struct SmileConfig {
     /// Fault-injection profile (disabled by default; see
     /// [`FaultProfile::chaos`] for a hostile preset).
     pub faults: FaultProfile,
-    /// Whether join edges probe persistent arrangements (default). When
-    /// false every join push rebuilds its hash table from a full relation
-    /// scan — the pre-arrangement behaviour, kept as an ablation baseline
-    /// and priced accordingly by the cost model.
-    pub use_arrangements: bool,
     /// Telemetry settings: span recording on/off, ring capacity, worker
     /// histogram shards. Instruments always record (pure atomics);
     /// disabling only quiets span recording (zero allocation).
     pub telemetry: TelemetryConfig,
-    /// Whether the storage hot path is columnar (default): push windows are
-    /// read as borrowed log slices, cross-machine WAL frames ship and land
-    /// zero-copy from `Arc`-backed buffers, and join keys are probed in one
-    /// batched pass. When false the executor runs the legacy per-tuple row
-    /// path — the ablation and differential-conformance baseline. MV
-    /// contents, meters, fault reports and traces are byte-identical in
-    /// both modes (the WAL wire format does not change).
-    pub columnar: bool,
-    /// Whether the executor schedules pushes with the event-driven push
-    /// calendar (default): a timer wheel of projected fire ticks plus
-    /// cached per-sharing critical paths make the per-tick scheduling cost
-    /// O(due + invalidated) in the number of sharings. When false every
-    /// tick scans all sharings recomputing critical paths from the full
-    /// merged plan — the pre-calendar baseline kept for differential
-    /// conformance and the scan arm of the executor-scale bench. Both
-    /// modes plan byte-identical batches, so all observable state matches.
-    pub calendar_scheduling: bool,
     /// Adaptive-runtime actuator settings: online re-planning, live MV
     /// migration and dollar-budgeted fleet elasticity. Disabled by default
     /// so every pre-adaptive workload replays byte-identically.
@@ -122,10 +100,7 @@ impl SmileConfig {
             capacity: 1.0,
             force_objective: None,
             faults: FaultProfile::disabled(),
-            use_arrangements: true,
             telemetry: TelemetryConfig::default(),
-            columnar: true,
-            calendar_scheduling: true,
             adaptive: AdaptiveConfig::default(),
             indexed_admission: true,
         }
@@ -359,11 +334,7 @@ pub struct Smile {
 
 impl Smile {
     /// Builds the platform with `config.machines` simulated machines.
-    pub fn new(mut config: SmileConfig) -> Self {
-        // The executor owns only an `ExecConfig`; mirror the platform-level
-        // storage-mode switch into it so every push sees one flag.
-        config.exec.columnar = config.columnar;
-        config.exec.calendar_scheduling = config.calendar_scheduling;
+    pub fn new(config: SmileConfig) -> Self {
         let mut cluster = Cluster::with_configs(vec![config.machine_config; config.machines]);
         cluster.prices = config.prices;
         cluster.set_fault_profile(config.faults);
@@ -491,7 +462,7 @@ impl Smile {
         .with_capacity(self.config.capacity)
         .with_force_objective(self.config.force_objective)
         .plan_admission(&sharing, committed, mv_machine);
-        let mut planned = match plan_result {
+        let planned = match plan_result {
             Ok(p) => {
                 self.telemetry
                     .registry()
@@ -509,9 +480,6 @@ impl Smile {
                 return Err(e);
             }
         };
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
-        }
         if self.config.indexed_admission {
             for (m, u) in machine_utilization(&planned.plan, Scope::All, &self.config.model) {
                 *self.committed.entry(m).or_default() += u;
@@ -682,7 +650,7 @@ impl Smile {
         };
         // Live admission places only among *active* machines: a draining
         // or retired machine must not gain new MVs.
-        let mut planned = Reoptimizer::new(
+        let planned = Reoptimizer::new(
             &self.catalog,
             self.cluster.active_machine_ids(),
             &self.config.model,
@@ -694,9 +662,6 @@ impl Smile {
             .registry()
             .counter("planner.sharings_admitted")
             .inc();
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
-        }
 
         let executor = self.executor.as_mut().expect("checked");
         executor.add_sharing(&sharing, &planned)?;
@@ -880,7 +845,7 @@ impl Smile {
             let mv = executor.global.mv_vertex(id)?;
             (live, executor.global.plan.vertex(mv).machine, executor.mv_ts(id)?)
         };
-        let mut planned = Reoptimizer::new(
+        let planned = Reoptimizer::new(
             &self.catalog,
             machines,
             &self.config.model,
@@ -888,9 +853,6 @@ impl Smile {
         )
         .with_capacity(self.config.capacity)
         .replan(&self.sharings[pos], live, &self.planned[pos], pin)?;
-        if !self.config.use_arrangements {
-            set_join_indexing(&mut planned.plan, false);
-        }
         if planned.mv_machine == cur_machine {
             return Ok(false); // the current placement already wins
         }
@@ -1661,22 +1623,16 @@ impl Smile {
 }
 
 /// Desired arrangement refcounts from the live plan: one reference per
-/// *live* (serving at least one sharing) indexed join edge, keyed by the
+/// *live* (serving at least one sharing) join edge, keyed by the
 /// snapshot side's (machine, relation slot, probe columns). `BTreeMap`, so
 /// reconciliation walks keys deterministically.
 fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> {
     let mut desired: BTreeMap<ArrangementKey, usize> = BTreeMap::new();
     for e in global.plan.edges() {
-        let EdgeOp::Join {
-            on,
-            delta_side,
-            indexed,
-            ..
-        } = &e.op
-        else {
+        let EdgeOp::Join { on, delta_side, .. } = &e.op else {
             continue;
         };
-        if !indexed || e.sharings.is_empty() {
+        if e.sharings.is_empty() {
             continue;
         }
         let snap_cols = match delta_side {
@@ -1692,22 +1648,6 @@ fn desired_arrangements(global: &GlobalPlan) -> BTreeMap<ArrangementKey, usize> 
             .or_default() += 1;
     }
     desired
-}
-
-/// Forces every join edge of a single-sharing plan onto the arrangement
-/// probe path (`indexed: true`) or the full-scan ablation path. Must run
-/// before the plan is merged into the global plan — edge deduplication
-/// compares operators, so all plans in one platform must agree.
-fn set_join_indexing(plan: &mut crate::plan::dag::Plan, indexed: bool) {
-    for e in plan.edges_mut() {
-        if let EdgeOp::Join {
-            indexed: ref mut flag,
-            ..
-        } = e.op
-        {
-            *flag = indexed;
-        }
-    }
 }
 
 /// The incremental storage materializer shared by `install`, `submit_live`
@@ -1778,21 +1718,11 @@ fn materialize_into(
         }
     }
     // Arrangements for join probes (idempotent; edges on the same
-    // (relation, key) pair share one arrangement). Scan-mode edges
-    // (`indexed: false`) deliberately get none.
+    // (relation, key) pair share one arrangement).
     for e in global.plan.edges().to_vec() {
-        let EdgeOp::Join {
-            on,
-            delta_side,
-            indexed,
-            ..
-        } = &e.op
-        else {
+        let EdgeOp::Join { on, delta_side, .. } = &e.op else {
             continue;
         };
-        if !indexed {
-            continue;
-        }
         let snap_cols = match delta_side {
             DeltaSide::Left => &on.right_cols,
             DeltaSide::Right => &on.left_cols,

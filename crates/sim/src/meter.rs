@@ -8,7 +8,7 @@
 //! the evaluation.
 
 use smile_types::{SharingId, SimDuration};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Re-exported so meter consumers read arrangement statistics through one
 /// module.
@@ -161,8 +161,10 @@ impl ResourceUsage {
 pub struct UsageLedger {
     total: ResourceUsage,
     per_sharing: HashMap<SharingId, ResourceUsage>,
-    /// SLA penalty dollars accrued per sharing (violations × pens).
-    penalties: HashMap<SharingId, f64>,
+    /// SLA penalty dollars accrued per sharing (violations × pens). Ordered,
+    /// so [`UsageLedger::total_penalties`] sums in one fixed order and the
+    /// float total is reproducible.
+    penalties: BTreeMap<SharingId, f64>,
 }
 
 impl UsageLedger {
@@ -280,5 +282,30 @@ mod tests {
         l.charge_penalty(s, 0.002);
         assert!((l.penalty(s) - 0.003).abs() < 1e-12);
         assert!((l.total_penalties() - 0.003).abs() < 1e-12);
+    }
+
+    /// The penalty total must not depend on the order sharings were
+    /// charged in: float addition is not associative, so a hash-ordered
+    /// sum would differ in its low bits between two equal ledgers.
+    #[test]
+    fn penalty_total_is_independent_of_charge_order() {
+        let charges: Vec<(SharingId, f64)> = (0..1_000u32)
+            .map(|i| {
+                let magnitude = 10f64.powi((i % 9) as i32 - 4);
+                (SharingId::new(i), magnitude * (1.0 + f64::from(i) / 7.0))
+            })
+            .collect();
+        let mut forward = UsageLedger::new();
+        for &(s, d) in &charges {
+            forward.charge_penalty(s, d);
+        }
+        let mut reverse = UsageLedger::new();
+        for &(s, d) in charges.iter().rev() {
+            reverse.charge_penalty(s, d);
+        }
+        assert_eq!(
+            forward.total_penalties().to_bits(),
+            reverse.total_penalties().to_bits()
+        );
     }
 }

@@ -1,15 +1,16 @@
-//! Cross-suite differential conformance harness for the columnar hot path.
+//! Cross-suite differential conformance harness for the push engine.
 //!
-//! The storage engine ships every delta as a columnar v2 WAL frame and, in
-//! columnar mode, lands it zero-copy and probes arrangements with batched
-//! key hashing. Legacy mode (`SmileConfig::columnar = false`) is the
-//! pre-refactor per-tuple row pipeline kept alive as the differential
-//! baseline. Running the **same seeded workload** through
-//! `(columnar, legacy) × (workers 1, 4) × (faults off, chaos)` must produce
-//! byte-identical observable state on every axis: MV contents, fault
-//! attribution, the PUSH record stream, billing, the exported Perfetto
-//! trace, and the logical metrics snapshot. Any divergence means the fast
-//! path changed semantics, not just wall clock.
+//! The executor ships every delta as a columnar WAL frame, lands it
+//! zero-copy and probes arrangements with batched key hashing. Two
+//! execution choices must never change what that engine computes: the
+//! worker count (one worker runs the wave engine inline; more run it on
+//! threads) and the scheduler (the event-driven push calendar, or the full
+//! per-tick scan kept as its baseline). Running the **same seeded
+//! workload** through `(calendar, scan) × (workers 1, 4) × (faults off,
+//! chaos)` must produce byte-identical observable state on every axis: MV
+//! contents, fault attribution, the PUSH record stream, billing, the
+//! exported Perfetto trace, and the logical metrics snapshot. The adaptive
+//! axis adds closed-loop actuation and checks it is worker-deterministic.
 
 use smile::core::catalog::BaseStats;
 use smile::core::executor::PushRecord;
@@ -30,7 +31,6 @@ fn schema(cols: &[(&str, ColumnType)], key: Vec<usize>) -> Schema {
 /// One cell of the conformance matrix.
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
-    columnar: bool,
     /// Event-driven push-calendar scheduling vs the full per-tick scan.
     calendar: bool,
     workers: usize,
@@ -43,8 +43,8 @@ struct Scenario {
     sla: SimDuration,
 }
 
-/// Everything observable about a run that must not depend on the engine
-/// mode (and, transitively, on the worker count or fault schedule replay).
+/// Everything observable about a run that must not depend on the scheduler,
+/// the worker count or the fault schedule replay.
 struct RunResult {
     mv: String,
     expected: String,
@@ -74,8 +74,7 @@ impl Scenario {
     /// negative weights cross the wire.
     fn run(self) -> RunResult {
         let mut config = SmileConfig::with_machines(2);
-        config.columnar = self.columnar;
-        config.calendar_scheduling = self.calendar;
+        config.exec.calendar_scheduling = self.calendar;
         config.exec.workers = self.workers;
         if self.chaos {
             config.faults = FaultProfile::chaos(4242);
@@ -204,51 +203,44 @@ fn assert_identical(base: &RunResult, other: &RunResult, cell: &str) {
 }
 
 #[test]
-fn columnar_equals_legacy_across_workers_and_faults() {
+fn one_worker_equals_four_across_faults() {
+    // The worker axis: the inline engine (one worker) and the threaded
+    // wave engine (four workers) must agree byte for byte, with and
+    // without chaos.
     for chaos in [false, true] {
-        for workers in [1usize, 4] {
-            let legacy = Scenario {
-                columnar: false,
+        let cell = |workers: usize| {
+            Scenario {
                 calendar: true,
                 workers,
                 chaos,
                 adaptive: false,
                 sla: SimDuration::from_secs(20),
             }
-            .run();
-            let columnar = Scenario {
-                columnar: true,
-                calendar: true,
-                workers,
-                chaos,
-                adaptive: false,
-                sla: SimDuration::from_secs(20),
-            }
-            .run();
-            assert_identical(
-                &legacy,
-                &columnar,
-                &format!("columnar vs legacy at workers={workers} chaos={chaos}"),
+            .run()
+        };
+        let inline = cell(1);
+        let threaded = cell(4);
+        assert_identical(
+            &inline,
+            &threaded,
+            &format!("workers=4 vs workers=1 chaos={chaos}"),
+        );
+        if chaos {
+            // The comparison must not be vacuous: the fault machinery
+            // actually fired in both runs (reports already compared).
+            assert!(
+                inline.report.crashes + inline.report.deltas_dropped + inline.report.pushes_retried
+                    >= 1,
+                "chaos profile injected nothing: {:?}",
+                inline.report
             );
-            if chaos {
-                // The comparison must not be vacuous: the fault machinery
-                // actually fired in both runs (reports already compared).
-                assert!(
-                    legacy.report.crashes + legacy.report.deltas_dropped
-                        + legacy.report.pushes_retried
-                        >= 1,
-                    "chaos profile injected nothing: {:?}",
-                    legacy.report
-                );
-            }
         }
     }
 }
 
 #[test]
-fn columnar_matches_ground_truth_fault_free() {
+fn push_engine_matches_ground_truth_fault_free() {
     let r = Scenario {
-        columnar: true,
         calendar: true,
         workers: 1,
         chaos: false,
@@ -256,38 +248,34 @@ fn columnar_matches_ground_truth_fault_free() {
         sla: SimDuration::from_secs(20),
     }
     .run();
-    assert_eq!(r.mv, r.expected, "columnar MV diverged from ground truth");
+    assert_eq!(r.mv, r.expected, "MV diverged from ground truth");
     assert!(!r.pushes.is_empty(), "no pushes completed");
 }
 
 #[test]
 fn modes_agree_under_chaos_with_recovery_exercised() {
     // The single most adversarial cell, pinned on its own so a failure
-    // names it directly: chaos + multi-worker, columnar vs legacy.
-    let legacy = Scenario {
-        columnar: false,
-        calendar: true,
-        workers: 4,
-        chaos: true,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
+    // names it directly: chaos, with both execution axes flipped at once —
+    // the inline engine under the full per-tick scan against the threaded
+    // engine under the push calendar.
+    let cell = |calendar: bool, workers: usize| {
+        Scenario {
+            calendar,
+            workers,
+            chaos: true,
+            adaptive: false,
+            sla: SimDuration::from_secs(20),
+        }
+        .run()
+    };
+    let baseline = cell(false, 1);
     assert!(
-        legacy.report.crashes >= 1 || legacy.report.pushes_retried >= 1,
+        baseline.report.crashes >= 1 || baseline.report.pushes_retried >= 1,
         "chaos run exercised no recovery: {:?}",
-        legacy.report
+        baseline.report
     );
-    let columnar = Scenario {
-        columnar: true,
-        calendar: true,
-        workers: 4,
-        chaos: true,
-        adaptive: false,
-        sla: SimDuration::from_secs(20),
-    }
-    .run();
-    assert_identical(&legacy, &columnar, "chaos workers=4");
+    let fast = cell(true, 4);
+    assert_identical(&baseline, &fast, "chaos calendar+workers=4 vs scan+workers=1");
 }
 
 #[test]
@@ -299,7 +287,6 @@ fn calendar_equals_scan_across_workers_and_faults() {
     for chaos in [false, true] {
         for workers in [1usize, 4] {
             let scan = Scenario {
-                columnar: true,
                 calendar: false,
                 workers,
                 chaos,
@@ -308,7 +295,6 @@ fn calendar_equals_scan_across_workers_and_faults() {
             }
             .run();
             let calendar = Scenario {
-                columnar: true,
                 calendar: true,
                 workers,
                 chaos,
@@ -344,7 +330,6 @@ fn adaptive_axis_is_worker_deterministic_and_preserves_semantics() {
     // query), the sharing's ground truth must match the static run's.
     let cell = |workers: usize, adaptive: bool| {
         Scenario {
-            columnar: true,
             calendar: true,
             workers,
             chaos: true,

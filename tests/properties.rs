@@ -409,6 +409,167 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Join-edge oracle: one push of a Join edge through the production engine
+// (`run_edge`: borrowed window, one batched arrangement probe, the snapshot
+// correction) lands exactly the nested-loop join of the filtered window
+// against the relation as of the snapshot point, recomputed from scratch.
+// ---------------------------------------------------------------------------
+
+use smile::core::executor::push::run_edge;
+use smile::core::plan::dag::{DeltaSide, EdgeOp, Plan, SnapshotSem, VertexKind};
+use smile::core::plan::sig::ExprSig;
+use smile::core::plan::timecost::TimeCostModel;
+use smile::sim::Cluster;
+use smile::storage::predicate::CmpOp;
+use smile::types::SharingId;
+
+/// One logged update: two key columns, a payload, a signed weight (zero is
+/// skipped) and its second.
+type LoggedUpdate = (i64, i64, i64, i64, u64);
+
+fn arb_logged_updates() -> impl Strategy<Value = Vec<LoggedUpdate>> {
+    proptest::collection::vec((0i64..3, 0i64..2, 0i64..3, -2i64..3, 1u64..11), 0..12)
+}
+
+/// `payload <op> v` on column 2, or `True` when `v` is out of range.
+fn payload_filter(op: CmpOp, v: i64) -> Predicate {
+    if v >= 3 {
+        Predicate::True
+    } else {
+        Predicate::Cmp {
+            col: 2,
+            op,
+            value: Value::I64(v),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    /// The relation is seeded at time zero, then logs updates at seconds
+    /// 1–10 of which only those up to `applied` reach its table, so the
+    /// snapshot point (`from` under `WindowStart`, `to` under `WindowEnd`)
+    /// falls both behind and ahead of the table and the correction runs in
+    /// both directions. The window holds inserts and deletes, some outside
+    /// `(from, to]`; the key has one or two columns; both the edge filter
+    /// and the snapshot filter are random.
+    #[test]
+    fn join_edge_matches_nested_loop_oracle(
+        seed in proptest::collection::vec((0i64..3, 0i64..2, 0i64..3, 1i64..3), 0..8),
+        rel_log in arb_logged_updates(),
+        window in arb_logged_updates(),
+        bounds in (0u64..10, 1u64..11, 0u64..11),
+        shape in (1usize..3, any::<bool>(), any::<bool>()),
+        filters in (0i64..4, 0i64..4)
+    ) {
+        let (from_s, len_s, applied_s) = bounds;
+        let (arity, delta_left, window_end) = shape;
+        let (from, to) = (Timestamp::from_secs(from_s), Timestamp::from_secs(from_s + len_s));
+        let filter = payload_filter(CmpOp::Le, filters.0);
+        let snapshot_filter = payload_filter(CmpOp::Ge, filters.1);
+        let key_cols: Vec<usize> = (0..arity).collect();
+        let on = JoinOn::on_all(&[(0, 0), (1, 1)][..arity]);
+
+        let m = MachineId::new(0);
+        let (d_slot, r_slot, o_slot) = (RelationId::new(0), RelationId::new(1), RelationId::new(2));
+        let out_schema = Schema::new(
+            ["k1", "k2", "p", "rk1", "rk2", "rp"]
+                .iter()
+                .map(|n| Column::new(*n, ColumnType::I64))
+                .collect(),
+            vec![],
+        );
+        let logged = |log: &[LoggedUpdate]| DeltaBatch {
+            entries: log
+                .iter()
+                .filter(|u| u.3 != 0)
+                .map(|&(k1, k2, p, w, s)| DeltaEntry {
+                    tuple: tuple![k1, k2, p],
+                    weight: w,
+                    ts: Timestamp::from_secs(s),
+                })
+                .collect(),
+        };
+        let mut cluster = Cluster::homogeneous(1);
+        let db = &mut cluster.machine_mut(m).unwrap().db;
+        db.create_relation(d_slot, three_cols(["k1", "k2", "p"])).unwrap();
+        db.create_relation(r_slot, three_cols(["k1", "k2", "p"])).unwrap();
+        db.create_relation(o_slot, out_schema.clone()).unwrap();
+        let mut seed_rows = ZSet::new();
+        for &(k1, k2, p, w) in &seed {
+            seed_rows.add(tuple![k1, k2, p], w);
+        }
+        db.seed_relation(r_slot, seed_rows.clone(), Timestamp::ZERO).unwrap();
+        db.ensure_index(r_slot, &key_cols).unwrap();
+        db.append_delta(r_slot, logged(&rel_log)).unwrap();
+        db.apply_pending(r_slot, Timestamp::from_secs(applied_s)).unwrap();
+        db.append_delta(d_slot, logged(&window)).unwrap();
+
+        let mut plan = Plan::new();
+        let mut vertex = |kind, slot, schema: Schema| {
+            let v = plan.add_vertex(kind, ExprSig::Base(slot), m, schema, false, None, 1.0, 0.0, 24.0);
+            plan.vertex_mut(v).slot = Some(slot);
+            v
+        };
+        let vd = vertex(VertexKind::Delta, d_slot, three_cols(["k1", "k2", "p"]));
+        let vr = vertex(VertexKind::Relation, r_slot, three_cols(["k1", "k2", "p"]));
+        let vo = vertex(VertexKind::Delta, o_slot, out_schema);
+        let e = plan
+            .add_edge(
+                EdgeOp::Join {
+                    on,
+                    delta_side: if delta_left { DeltaSide::Left } else { DeltaSide::Right },
+                    snapshot: if window_end { SnapshotSem::WindowEnd } else { SnapshotSem::WindowStart },
+                    snapshot_filter: snapshot_filter.clone(),
+                },
+                vec![vd, vr],
+                vo,
+                filter.clone(),
+                None,
+                None,
+                1.0,
+                48.0,
+            )
+            .unwrap();
+        let model = TimeCostModel::paper_defaults();
+        let run = run_edge(&mut cluster, &plan, plan.edge(e), from, to, to, &model, SharingId::new(0))
+            .map_err(|e| e.to_string())?;
+        let landed = cluster.machine(m).unwrap().db.delta_window(o_slot, from, to).unwrap();
+        prop_assert_eq!(run.tuples, landed.len() as u64);
+
+        // Oracle: R@at from the seed plus every logged update up to `at`,
+        // then a nested loop over the filtered window.
+        let at = if window_end { to } else { from };
+        let mut r_at = seed_rows;
+        for &(k1, k2, p, w, s) in &rel_log {
+            if Timestamp::from_secs(s) <= at {
+                r_at.add(tuple![k1, k2, p], w);
+            }
+        }
+        let mut want = ZSet::new();
+        for &(k1, k2, p, w, s) in &window {
+            let ts = Timestamp::from_secs(s);
+            let d = tuple![k1, k2, p];
+            if ts <= from || ts > to || !filter.eval(&d) {
+                continue;
+            }
+            for (row, rw) in r_at.iter() {
+                if !snapshot_filter.eval(row) || row.values()[..arity] != d.values()[..arity] {
+                    continue;
+                }
+                let joined = if delta_left { d.concat(row) } else { row.concat(&d) };
+                want.add(joined, w * rw);
+            }
+        }
+        prop_assert_eq!(landed.to_zset().sorted_entries(), want.sorted_entries());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Telemetry histogram laws: the log2 histogram keeps exact count/sum/min/max
 // alongside its buckets, and sharded recording merged in shard order is
 // indistinguishable from recording everything into one histogram — the
@@ -866,7 +1027,7 @@ fn run_sched(
     skew: u8,
 ) -> Vec<String> {
     let mut config = SmileConfig::with_machines(2);
-    config.calendar_scheduling = calendar;
+    config.exec.calendar_scheduling = calendar;
     if chaos > 0 {
         config.faults = smile::sim::FaultProfile::chaos(chaos * 1000 + 7);
     }
