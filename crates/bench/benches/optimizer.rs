@@ -86,7 +86,7 @@ fn bench_plumbing(c: &mut Criterion) {
     g.bench_function("hill_climb_12_sharings", |b| {
         b.iter_batched(
             || global.clone(),
-            |mut g2| hill_climb(&mut g2, &model, &prices, 32),
+            |mut g2| hill_climb(&mut g2, &model, &prices, 32, true),
             criterion::BatchSize::LargeInput,
         );
     });

@@ -12,7 +12,7 @@
 use smile_bench::{
     drive, print_table, run_experiment, RunConfig, RunOutcome, Scale, SlaAssignment,
 };
-use smile_core::multi::{hill_climb_filtered, GlobalPlan};
+use smile_core::multi::{hill_climb, GlobalPlan};
 use smile_core::optimizer::{Objective, Optimizer};
 use smile_core::plan::cost::{critical_path, plan_cost, Scope};
 use smile_core::plan::dag::{DeltaSide, EdgeOp, SnapshotSem};
@@ -775,7 +775,7 @@ fn fig12(scale: Scale) {
             global.merge(&sharing, &planned).expect("merge");
         }
         let merged = global.total_cost(&model, &prices);
-        hill_climb_filtered(&mut global, &model, &prices, 128, true);
+        hill_climb(&mut global, &model, &prices, 128, true);
         let merged_hc = global.total_cost(&model, &prices);
         rows.push(vec![
             label.to_string(),
@@ -844,7 +844,7 @@ fn fig13() {
         }
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_same_region();
-        let report = hill_climb_filtered(&mut global, &model, &prices, 128, true);
+        let report = hill_climb(&mut global, &model, &prices, 128, true);
         let rows: Vec<Vec<String>> = report
             .trajectory
             .iter()
@@ -1028,7 +1028,7 @@ fn ablations(scale: Scale) {
         let model = TimeCostModel::paper_defaults();
         let prices = PriceSheet::ec2_same_region();
         let before = global.total_cost(&model, &prices);
-        let report = hill_climb_filtered(&mut global, &model, &prices, 128, allow_join);
+        let report = hill_climb(&mut global, &model, &prices, 128, allow_join);
         let after = global.total_cost(&model, &prices);
         rows.push(vec![
             label.to_string(),

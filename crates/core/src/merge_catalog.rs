@@ -8,8 +8,7 @@
 //!
 //! * **fingerprints** — `(vertex kind, expression signature)` → vertex ids.
 //!   One probe answers "does this SPJ sub-plan already run somewhere, and
-//!   on which machines?", which is exactly the question copy/join plumbing
-//!   enumeration asks per candidate.
+//!   on which machines?".
 //! * **taps** — base `RelationId` → vertices whose signature reads it. The
 //!   candidate-pruning entry point: a new sharing can only share structure
 //!   with plans tapping at least one of its base relations.
@@ -19,11 +18,7 @@
 //!   arrangement-registry refcounts without walking every edge twice.
 //!
 //! All postings lists are `BTreeSet<VertexId>`, so every lookup yields
-//! candidates in vertex-id order — the same order the brute-force
-//! `find_by_sig` scan produces. That is the determinism argument: indexed
-//! and scanned enumeration see identical candidate sequences, so greedy
-//! tie-breaks resolve identically and the resulting plans are byte-equal
-//! (the differential property test in `tests/properties.rs` holds this).
+//! candidates in vertex-id order, independent of insertion history.
 
 use crate::plan::dag::{Plan, VertexKind};
 use crate::plan::sig::ExprSig;
@@ -50,15 +45,6 @@ impl MergeCatalog {
     /// Empty catalog.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Catalog over an existing plan's vertices.
-    pub fn from_plan(plan: &Plan) -> Self {
-        let mut cat = Self::new();
-        for v in plan.vertices() {
-            cat.note_vertex(plan, v.id);
-        }
-        cat
     }
 
     /// Re-indexes from scratch, keeping lifetime hit/miss counters. Needed
@@ -96,19 +82,6 @@ impl MergeCatalog {
             };
             self.probes.entry((rel_sig, rel_cols)).or_default().insert(v);
         }
-    }
-
-    /// Vertices computing exactly (kind, sig), in vertex-id order — the
-    /// indexed replacement for `Plan::find_by_sig`'s linear scan.
-    pub fn peers_iter(
-        &self,
-        kind: VertexKind,
-        sig: &ExprSig,
-    ) -> impl Iterator<Item = VertexId> + '_ {
-        self.fingerprints
-            .get(&(kind, sig.clone()))
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
     }
 
     /// Vertices whose signature taps base relation `rel`, in id order.

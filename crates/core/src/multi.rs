@@ -19,7 +19,7 @@
 
 use crate::merge_catalog::MergeCatalog;
 use crate::optimizer::PlannedSharing;
-use crate::plan::cost::{critical_path, res_cost, Scope};
+use crate::plan::cost::{critical_path, critical_path_in, res_cost, resource_rates_in, Scope};
 use crate::plan::dag::{EdgeOp, Plan, VertexKind};
 use crate::plan::sig::ExprSig;
 use crate::plan::timecost::TimeCostModel;
@@ -338,50 +338,33 @@ pub struct HillClimbReport {
 }
 
 /// Enumerates candidate plumbing operations on the current global plan by
-/// scanning for signature peers (`Plan::find_by_sig`, linear in the plan).
+/// scanning for signature peers (`Plan::find_by_sig`).
 ///
 /// Candidate order is load-bearing: hill climbing keeps the *first* found
-/// among equal-benefit candidates, so both this scan and the indexed
-/// variant walk destinations and peers in vertex-id order and therefore
-/// emit identical sequences — the determinism the differential property
-/// test pins down.
+/// among equal-benefit candidates, so destinations and peers are walked in
+/// vertex-id order.
 pub fn enumerate_plumbings(g: &GlobalPlan) -> Vec<Plumbing> {
-    enumerate_with(g, |kind, sig| g.plan.find_by_sig(kind, sig))
-}
-
-/// [`enumerate_plumbings`] answered from the merge catalog: each peer
-/// lookup is one hash probe into the fingerprint index instead of a scan
-/// over every vertex. Produces the exact same candidate sequence (catalog
-/// postings are id-ordered sets).
-pub fn enumerate_plumbings_indexed(g: &GlobalPlan, cat: &MergeCatalog) -> Vec<Plumbing> {
-    enumerate_with(g, |kind, sig| cat.peers_iter(kind, sig).collect())
-}
-
-fn enumerate_with<F>(g: &GlobalPlan, peers: F) -> Vec<Plumbing>
-where
-    F: Fn(VertexKind, &ExprSig) -> Vec<VertexId>,
-{
+    let plan = &g.plan;
     let mut out = Vec::new();
     // Copy plumbing: same sig on different machines, dst not already fed by
     // a CopyDelta (from anywhere) and not a base capture point.
-    for dst in g.plan.vertices() {
+    for dst in plan.vertices() {
         if dst.kind != VertexKind::Delta || dst.is_base {
             continue;
         }
-        let already_copy_fed = g
-            .plan
+        let already_copy_fed = plan
             .producer(dst.id)
             .is_some_and(|e| matches!(e.op, EdgeOp::CopyDelta));
         if already_copy_fed {
             continue;
         }
-        for src in peers(VertexKind::Delta, &dst.sig) {
-            if src == dst.id || g.plan.vertex(src).machine == dst.machine {
+        for src in plan.find_by_sig(VertexKind::Delta, &dst.sig) {
+            if src == dst.id || plan.vertex(src).machine == dst.machine {
                 continue;
             }
             // Feeding dst from src must not create a cycle: src must not
             // be a descendant of dst.
-            let (anc, _) = g.plan.ancestors(src);
+            let (anc, _) = plan.ancestors(src);
             if anc.contains(&dst.id) {
                 continue;
             }
@@ -391,7 +374,7 @@ where
     // Join plumbing: dst is a half-join delta; rebuild it from an existing
     // relation replica of the snapshot side and any delta stream of the
     // delta side.
-    for dst in g.plan.vertices() {
+    for dst in plan.vertices() {
         if dst.kind != VertexKind::Delta {
             continue;
         }
@@ -404,23 +387,33 @@ where
         else {
             continue;
         };
+        // The rewiring reuses dst's Join operator; any other producer makes
+        // the candidate impossible (see `rewire`).
+        let join_fed = plan
+            .producer(dst.id)
+            .is_some_and(|e| matches!(e.op, EdgeOp::Join { .. }));
+        if !join_fed {
+            continue;
+        }
         let (delta_sig, rel_sig) = if *delta_left {
             (left.as_ref(), right.as_ref())
         } else {
             (right.as_ref(), left.as_ref())
         };
+        let delta_peers = plan.find_by_sig(VertexKind::Delta, delta_sig);
         // The current producer already is a join co-located with some
         // relation; a re-plumb is interesting when the *relation* exists on
         // a different machine closer to an existing delta stream.
-        for rel_v in peers(VertexKind::Relation, rel_sig) {
-            let rel = g.plan.vertex(rel_v);
-            if rel.machine == dst.machine {
+        for rel_v in plan.find_by_sig(VertexKind::Relation, rel_sig) {
+            if plan.vertex(rel_v).machine == dst.machine {
                 continue; // that is what the current producer already does
             }
-            for delta_v in peers(VertexKind::Delta, delta_sig) {
-                let (anc_r, _) = g.plan.ancestors(rel_v);
-                let (anc_d, _) = g.plan.ancestors(delta_v);
-                if anc_r.contains(&dst.id) || anc_d.contains(&dst.id) || delta_v == dst.id {
+            let (anc_r, _) = plan.ancestors(rel_v);
+            if anc_r.contains(&dst.id) {
+                continue;
+            }
+            for &delta_v in &delta_peers {
+                if delta_v == dst.id || plan.ancestors(delta_v).0.contains(&dst.id) {
                     continue;
                 }
                 out.push(Plumbing::Join {
@@ -439,124 +432,7 @@ where
 /// rewiring is structurally impossible.
 pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
     let mut out = g.clone();
-    match p {
-        Plumbing::Copy { src, dst } => {
-            let src_v = out.plan.vertex(*src).clone();
-            out.plan.detach_producer(*dst);
-            out.plan.add_edge(
-                EdgeOp::CopyDelta,
-                vec![*src],
-                *dst,
-                Predicate::True,
-                None,
-                None,
-                src_v.est_rate,
-                src_v.est_tuple_bytes,
-            )?;
-        }
-        Plumbing::Join {
-            dst,
-            delta_src,
-            rel_src,
-        } => {
-            let dst_v = out.plan.vertex(*dst).clone();
-            let rel_v = out.plan.vertex(*rel_src).clone();
-            let delta_v = out.plan.vertex(*delta_src).clone();
-            // Recover the join parameters from dst's current producer.
-            let producer = out
-                .plan
-                .producer(*dst)
-                .ok_or_else(|| SmileError::InvalidPlan("join plumbing on source vertex".into()))?;
-            let join_op = producer.op.clone();
-            if !matches!(join_op, EdgeOp::Join { .. }) {
-                return Err(SmileError::InvalidPlan(
-                    "join plumbing target is not produced by a Join".into(),
-                ));
-            }
-            let old_filter = producer.filter.clone();
-
-            // Bring the delta stream to the relation's machine. Vertex
-            // creation dedups on (kind, sig, machine): an existing vertex
-            // may sit *downstream* of `dst`, in which case wiring through
-            // it would close a cycle — reject such candidates.
-            let ensure_acyclic = |plan: &crate::plan::dag::Plan, v: smile_types::VertexId| {
-                let (anc, _) = plan.ancestors(v);
-                if anc.contains(dst) {
-                    Err(SmileError::InvalidPlan(
-                        "join plumbing would create a cycle".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
-            };
-            let local_delta = if delta_v.machine == rel_v.machine {
-                *delta_src
-            } else {
-                let d = out.plan.add_vertex(
-                    VertexKind::Delta,
-                    delta_v.sig.clone(),
-                    rel_v.machine,
-                    delta_v.schema.clone(),
-                    false,
-                    None,
-                    delta_v.est_rate,
-                    0.0,
-                    delta_v.est_tuple_bytes,
-                );
-                if out.plan.producer(d).is_none() {
-                    out.plan.add_edge(
-                        EdgeOp::CopyDelta,
-                        vec![*delta_src],
-                        d,
-                        Predicate::True,
-                        None,
-                        None,
-                        delta_v.est_rate,
-                        delta_v.est_tuple_bytes,
-                    )?;
-                }
-                ensure_acyclic(&out.plan, d)?;
-                d
-            };
-            // Compute the half-join at the relation's machine.
-            let half_at_rel = out.plan.add_vertex(
-                VertexKind::Delta,
-                dst_v.sig.clone(),
-                rel_v.machine,
-                dst_v.schema.clone(),
-                false,
-                None,
-                dst_v.est_rate,
-                0.0,
-                dst_v.est_tuple_bytes,
-            );
-            ensure_acyclic(&out.plan, half_at_rel)?;
-            if out.plan.producer(half_at_rel).is_none() {
-                out.plan.add_edge(
-                    join_op,
-                    vec![local_delta, *rel_src],
-                    half_at_rel,
-                    old_filter,
-                    None,
-                    None,
-                    dst_v.est_rate,
-                    dst_v.est_tuple_bytes,
-                )?;
-            }
-            // Ship it to dst.
-            out.plan.detach_producer(*dst);
-            out.plan.add_edge(
-                EdgeOp::CopyDelta,
-                vec![half_at_rel],
-                *dst,
-                Predicate::True,
-                None,
-                None,
-                dst_v.est_rate,
-                dst_v.est_tuple_bytes,
-            )?;
-        }
-    }
+    rewire(&mut out.plan, p)?;
     // Guard against any cycle the rewiring may have introduced before the
     // (panicking) garbage collection walks the graph.
     out.plan.topo_order()?;
@@ -566,52 +442,257 @@ pub fn apply_plumbing(g: &GlobalPlan, p: &Plumbing) -> Result<GlobalPlan> {
     Ok(out)
 }
 
+/// Rewires `plan` for plumbing `p` in place: new vertices and edges are
+/// appended and `dst`'s old producer is detached, leaving the replaced
+/// supply chain unserved but present. Fails when the rewiring is
+/// structurally impossible or would close a cycle through a reused vertex;
+/// on failure the plan may be partially rewired.
+fn rewire(plan: &mut Plan, p: &Plumbing) -> Result<()> {
+    match p {
+        Plumbing::Copy { src, dst } => {
+            let src_v = plan.vertex(*src);
+            let (rate, bytes) = (src_v.est_rate, src_v.est_tuple_bytes);
+            plan.detach_producer(*dst);
+            plan.add_edge(
+                EdgeOp::CopyDelta,
+                vec![*src],
+                *dst,
+                Predicate::True,
+                None,
+                None,
+                rate,
+                bytes,
+            )?;
+        }
+        Plumbing::Join {
+            dst,
+            delta_src,
+            rel_src,
+        } => {
+            // Recover the join parameters from dst's current producer.
+            let producer = plan
+                .producer(*dst)
+                .ok_or_else(|| SmileError::InvalidPlan("join plumbing on source vertex".into()))?;
+            if !matches!(producer.op, EdgeOp::Join { .. }) {
+                return Err(SmileError::InvalidPlan(
+                    "join plumbing target is not produced by a Join".into(),
+                ));
+            }
+            let join_op = producer.op.clone();
+            let old_filter = producer.filter.clone();
+            let dst_v = plan.vertex(*dst);
+            let (dst_sig, dst_schema) = (dst_v.sig.clone(), dst_v.schema.clone());
+            let (dst_rate, dst_bytes) = (dst_v.est_rate, dst_v.est_tuple_bytes);
+            let rel_machine = plan.vertex(*rel_src).machine;
+
+            // Bring the delta stream to the relation's machine. Vertex
+            // creation dedups on (kind, sig, machine): an existing vertex
+            // may sit *downstream* of `dst`, in which case wiring through
+            // it would close a cycle — reject such candidates.
+            let ensure_acyclic = |plan: &Plan, v: VertexId| {
+                if plan.ancestors(v).0.contains(dst) {
+                    Err(SmileError::InvalidPlan(
+                        "join plumbing would create a cycle".into(),
+                    ))
+                } else {
+                    Ok(())
+                }
+            };
+            let delta_v = plan.vertex(*delta_src);
+            let local_delta = if delta_v.machine == rel_machine {
+                *delta_src
+            } else {
+                let (sig, schema) = (delta_v.sig.clone(), delta_v.schema.clone());
+                let (rate, bytes) = (delta_v.est_rate, delta_v.est_tuple_bytes);
+                let d = plan.add_vertex(
+                    VertexKind::Delta,
+                    sig,
+                    rel_machine,
+                    schema,
+                    false,
+                    None,
+                    rate,
+                    0.0,
+                    bytes,
+                );
+                if plan.producer(d).is_none() {
+                    plan.add_edge(
+                        EdgeOp::CopyDelta,
+                        vec![*delta_src],
+                        d,
+                        Predicate::True,
+                        None,
+                        None,
+                        rate,
+                        bytes,
+                    )?;
+                }
+                ensure_acyclic(plan, d)?;
+                d
+            };
+            // Compute the half-join at the relation's machine.
+            let half_at_rel = plan.add_vertex(
+                VertexKind::Delta,
+                dst_sig,
+                rel_machine,
+                dst_schema,
+                false,
+                None,
+                dst_rate,
+                0.0,
+                dst_bytes,
+            );
+            ensure_acyclic(plan, half_at_rel)?;
+            if plan.producer(half_at_rel).is_none() {
+                plan.add_edge(
+                    join_op,
+                    vec![local_delta, *rel_src],
+                    half_at_rel,
+                    old_filter,
+                    None,
+                    None,
+                    dst_rate,
+                    dst_bytes,
+                )?;
+            }
+            // Ship it to dst.
+            plan.detach_producer(*dst);
+            plan.add_edge(
+                EdgeOp::CopyDelta,
+                vec![half_at_rel],
+                *dst,
+                Predicate::True,
+                None,
+                None,
+                dst_rate,
+                dst_bytes,
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Scratch space for scoring plumbing candidates in place, reused across
+/// candidates and iterations.
+#[derive(Default)]
+struct Scorer {
+    /// `SHR` as bitsets: bit `k` of a vertex's (edge's) `words`-long row is
+    /// set iff it serves `g.sharings[k]`.
+    words: usize,
+    vertex_shr: Vec<u64>,
+    edge_shr: Vec<u64>,
+    stack: Vec<VertexId>,
+    dist: Vec<SimDuration>,
+}
+
+impl Scorer {
+    /// The total cost `apply_plumbing(g, p)` would have, or `None` when the
+    /// rewiring is impossible or some sharing's CP would exceed its SLA.
+    /// `mvs[k]` is the MV vertex of `g.sharings[k]`. `g` is rewired in place
+    /// and rolled back before returning.
+    fn score(
+        &mut self,
+        g: &mut GlobalPlan,
+        mvs: &[VertexId],
+        p: &Plumbing,
+        model: &TimeCostModel,
+        prices: &PriceSheet,
+    ) -> Option<f64> {
+        let mark = g.plan.mark();
+        let cost = self.rewired_cost(g, mvs, p, model, prices);
+        g.plan.rollback(mark);
+        cost
+    }
+
+    fn rewired_cost(
+        &mut self,
+        g: &mut GlobalPlan,
+        mvs: &[VertexId],
+        p: &Plumbing,
+        model: &TimeCostModel,
+        prices: &PriceSheet,
+    ) -> Option<f64> {
+        rewire(&mut g.plan, p).ok()?;
+        let plan = &g.plan;
+        let order = plan.topo_order().ok()?;
+        self.fill_shr(plan, mvs);
+        let words = self.words;
+        let edge_has =
+            |e: usize, k: usize| (self.edge_shr[e * words + k / 64] >> (k % 64)) & 1 != 0;
+        for (k, meta) in g.sharings.iter().enumerate() {
+            let cp = critical_path_in(
+                plan,
+                &order,
+                |e| edge_has(e.id, k),
+                1.0,
+                model,
+                &mut self.dist,
+            );
+            if cp > meta.sla {
+                return None;
+            }
+        }
+        // Summed in the orders `garbage_collect` gives the survivors: edges
+        // by index, vertices topologically.
+        let live = |shr: &[u64], i: usize| shr[i * words..(i + 1) * words].iter().any(|&w| w != 0);
+        let rates = resource_rates_in(
+            plan,
+            order,
+            |e| live(&self.edge_shr, e.id).then_some(1.0),
+            |v| live(&self.vertex_shr, v.id.index()).then_some(1.0),
+            model,
+        );
+        Some(rates.dollars_per_sec(prices))
+    }
+
+    /// [`GlobalPlan::recompute_shr`]'s ancestor walk into the bitsets.
+    fn fill_shr(&mut self, plan: &Plan, mvs: &[VertexId]) {
+        let words = mvs.len().div_ceil(64);
+        self.words = words;
+        self.vertex_shr.clear();
+        self.vertex_shr.resize(plan.vertex_count() * words, 0);
+        self.edge_shr.clear();
+        self.edge_shr.resize(plan.edge_count() * words, 0);
+        for (k, &mv) in mvs.iter().enumerate() {
+            let (word, bit) = (k / 64, 1u64 << (k % 64));
+            self.vertex_shr[mv.index() * words + word] |= bit;
+            self.stack.push(mv);
+            while let Some(cur) = self.stack.pop() {
+                let Some(e) = plan.producer(cur) else {
+                    continue;
+                };
+                self.edge_shr[e.id * words + word] |= bit;
+                for &input in &e.inputs {
+                    let slot = &mut self.vertex_shr[input.index() * words + word];
+                    if *slot & bit == 0 {
+                        *slot |= bit;
+                        self.stack.push(input);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Greedy hill climbing (paper §7.2): repeatedly applies the plumbing with
 /// the largest positive benefit that keeps every sharing within its SLA,
-/// until none qualifies.
+/// until none qualifies. With `allow_join_plumbing` off only copy plumbing
+/// is tried — the ablation that isolates each kind's contribution.
+///
+/// Each candidate is scored in place on `g` under an undo mark (rewire,
+/// cycle check, SLA check and cost from bitset `SHR`s) and rolled back;
+/// only the winner is materialized through [`apply_plumbing`], so the plan
+/// is cloned and collected once per iteration. Ties keep the first
+/// candidate in enumeration order; a winner `validate` rejects yields to
+/// the next-ranked one.
 pub fn hill_climb(
     g: &mut GlobalPlan,
     model: &TimeCostModel,
     prices: &PriceSheet,
     max_iterations: usize,
-) -> HillClimbReport {
-    hill_climb_filtered(g, model, prices, max_iterations, true)
-}
-
-/// [`hill_climb`] with join plumbing optionally disabled — the ablation
-/// that isolates how much each plumbing kind contributes.
-pub fn hill_climb_filtered(
-    g: &mut GlobalPlan,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    max_iterations: usize,
     allow_join_plumbing: bool,
 ) -> HillClimbReport {
-    hill_climb_core(g, model, prices, max_iterations, allow_join_plumbing, false)
-}
-
-/// [`hill_climb`] with candidate enumeration answered from the merge
-/// catalog. The catalog is rebuilt each iteration (plumbing + garbage
-/// collection remap vertex ids), which is one linear pass — the saving is
-/// the per-candidate signature scans inside enumeration. Produces the same
-/// plan as [`hill_climb`] on the same input.
-pub fn hill_climb_indexed(
-    g: &mut GlobalPlan,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    max_iterations: usize,
-) -> HillClimbReport {
-    hill_climb_core(g, model, prices, max_iterations, true, true)
-}
-
-fn hill_climb_core(
-    g: &mut GlobalPlan,
-    model: &TimeCostModel,
-    prices: &PriceSheet,
-    max_iterations: usize,
-    allow_join_plumbing: bool,
-    indexed: bool,
-) -> HillClimbReport {
+    let mut scorer = Scorer::default();
     let mut applied = Vec::new();
     let mut trajectory = vec![(
         g.plan.vertex_count(),
@@ -619,33 +700,41 @@ fn hill_climb_core(
         g.total_cost(model, prices),
     )];
     for _ in 0..max_iterations {
-        let current_cost = g.total_cost(model, prices);
-        let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
-        let candidates = if indexed {
-            let cat = MergeCatalog::from_plan(&g.plan);
-            enumerate_plumbings_indexed(g, &cat)
-        } else {
-            enumerate_plumbings(g)
+        let current_cost = trajectory[trajectory.len() - 1].2;
+        // Rewiring only appends vertices, so the MV ids hold for every
+        // candidate of this iteration.
+        let Some(mvs) = g
+            .sharings
+            .iter()
+            .map(|m| {
+                g.plan
+                    .find_vertex(VertexKind::Relation, &m.mv_sig, m.mv_machine)
+            })
+            .collect::<Option<Vec<_>>>()
+        else {
+            break;
         };
-        for cand in candidates {
+        let mut ranked: Vec<(f64, Plumbing)> = Vec::new();
+        for cand in enumerate_plumbings(g) {
             if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
                 continue;
             }
-            let Ok(next) = apply_plumbing(g, &cand) else {
+            let Some(cost) = scorer.score(g, &mvs, &cand, model, prices) else {
                 continue;
             };
-            if !next.all_slas_hold(model) {
-                continue;
-            }
-            let benefit = current_cost - next.total_cost(model, prices);
-            if benefit <= 1e-15 {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(b, _, _)| benefit > *b) {
-                best = Some((benefit, cand, next));
+            let benefit = current_cost - cost;
+            if benefit > 1e-15 {
+                ranked.push((benefit, cand));
             }
         }
-        let Some((_, cand, next)) = best else { break };
+        // Stable: equal benefits keep enumeration order.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let Some((cand, next)) = ranked
+            .into_iter()
+            .find_map(|(_, cand)| apply_plumbing(g, &cand).ok().map(|next| (cand, next)))
+        else {
+            break;
+        };
         *g = next;
         applied.push(cand);
         trajectory.push((
@@ -855,7 +944,7 @@ mod tests {
     fn hill_climb_never_increases_cost_and_respects_slas() {
         let (mut g, model, prices) = setup();
         let before = g.total_cost(&model, &prices);
-        let report = hill_climb(&mut g, &model, &prices, 32);
+        let report = hill_climb(&mut g, &model, &prices, 32, true);
         let after = g.total_cost(&model, &prices);
         assert!(after <= before + 1e-12);
         assert!(g.all_slas_hold(&model));
@@ -913,22 +1002,104 @@ mod tests {
         assert_eq!(brute.plan.canonical_string(), indexed.plan.canonical_string());
     }
 
-    #[test]
-    fn indexed_enumeration_matches_scan() {
-        let (g, _, _) = setup();
-        let cat = MergeCatalog::from_plan(&g.plan);
-        assert_eq!(enumerate_plumbings(&g), enumerate_plumbings_indexed(&g, &cat));
+    /// The MV vertex ids of `g`, in `g.sharings` order.
+    fn mv_ids(g: &GlobalPlan) -> Vec<VertexId> {
+        g.sharings
+            .iter()
+            .map(|m| g.mv_vertex(m.id).unwrap())
+            .collect()
+    }
+
+    fn assert_index_resolves(plan: &Plan) {
+        for v in plan.vertices() {
+            assert_eq!(plan.find_vertex(v.kind, &v.sig, v.machine), Some(v.id));
+        }
     }
 
     #[test]
-    fn indexed_hill_climb_matches_brute_force() {
-        let (g, model, prices) = setup();
-        let mut brute = g.clone();
-        let mut indexed = g;
-        let rb = hill_climb(&mut brute, &model, &prices, 32);
-        let ri = hill_climb_indexed(&mut indexed, &model, &prices, 32);
-        assert_eq!(rb.applied, ri.applied);
-        assert_eq!(brute.plan.canonical_string(), indexed.plan.canonical_string());
+    fn scoring_rolls_back_and_matches_clone_and_collect() {
+        let (mut g, model, prices) = setup();
+        let before = g.plan.canonical_string();
+        let mvs = mv_ids(&g);
+        let mut scorer = Scorer::default();
+        let cands = enumerate_plumbings(&g);
+        assert!(!cands.is_empty());
+        for c in &cands {
+            let want = apply_plumbing(&g, c)
+                .ok()
+                .filter(|next| next.all_slas_hold(&model))
+                .map(|next| next.total_cost(&model, &prices).to_bits());
+            let got = scorer.score(&mut g, &mvs, c, &model, &prices);
+            assert_eq!(got.map(f64::to_bits), want, "{c:?}");
+            assert_eq!(g.plan.canonical_string(), before, "{c:?} left residue");
+            assert_index_resolves(&g.plan);
+        }
+    }
+
+    /// A Join plumbing whose delta source sits downstream of `dst` appends
+    /// the delta's replica on the relation's machine, then fails the cycle
+    /// check. Rollback must drop that vertex, its edge and its index key.
+    #[test]
+    fn rollback_after_cycle_rejection_leaves_no_stale_index_entry() {
+        let (mut g, _, _) = setup();
+        let before = g.plan.canonical_string();
+        let plan = &g.plan;
+        let forced = plan
+            .vertices()
+            .iter()
+            .filter(|d| {
+                plan.producer(d.id)
+                    .is_some_and(|e| matches!(e.op, EdgeOp::Join { .. }))
+            })
+            .find_map(|dst| {
+                let desc = plan.vertices().iter().find(|v| {
+                    v.kind == VertexKind::Delta && plan.ancestors(v.id).0.contains(&dst.id)
+                })?;
+                let rel = plan.vertices().iter().find(|r| {
+                    r.kind == VertexKind::Relation
+                        && r.machine != desc.machine
+                        && plan
+                            .find_vertex(VertexKind::Delta, &desc.sig, r.machine)
+                            .is_none()
+                })?;
+                Some(Plumbing::Join {
+                    dst: dst.id,
+                    delta_src: desc.id,
+                    rel_src: rel.id,
+                })
+            })
+            .expect("setup has a join-fed vertex with a downstream delta");
+        let n = g.plan.vertex_count();
+        let mark = g.plan.mark();
+        let err = rewire(&mut g.plan, &forced).unwrap_err();
+        assert!(err.to_string().contains("cycle"), "{err}");
+        assert_eq!(
+            g.plan.vertex_count(),
+            n + 1,
+            "no vertex appended before rejection"
+        );
+        let ghost = g.plan.vertex(VertexId::new(n as u32)).clone();
+        g.plan.rollback(mark);
+        assert_eq!(g.plan.canonical_string(), before);
+        assert_index_resolves(&g.plan);
+        assert_eq!(
+            g.plan.find_vertex(ghost.kind, &ghost.sig, ghost.machine),
+            None
+        );
+        let fresh = g.plan.add_vertex(
+            ghost.kind,
+            ghost.sig.clone(),
+            ghost.machine,
+            ghost.schema.clone(),
+            false,
+            None,
+            ghost.est_rate,
+            0.0,
+            ghost.est_tuple_bytes,
+        );
+        assert_eq!(fresh, VertexId::new(n as u32));
+        assert_eq!(g.plan.vertex_count(), n + 1);
+        assert_eq!(g.plan.vertex(fresh).sig, ghost.sig);
     }
 
     #[test]

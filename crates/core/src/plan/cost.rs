@@ -1,10 +1,10 @@
 //! Critical time path and dollar cost of sharing plans (paper §5.1–5.2).
 
-use crate::plan::dag::{EdgeOp, Plan, VertexKind};
+use crate::plan::dag::{Edge, EdgeOp, Plan, Vertex, VertexKind};
 use crate::plan::timecost::TimeCostModel;
 use smile_sim::PriceSheet;
-use smile_types::{SharingId, SimDuration};
-use std::collections::HashMap;
+use smile_types::{SharingId, SimDuration, VertexId};
+use std::collections::{BTreeSet, HashMap};
 
 /// Scope restriction for plan metrics: the whole (global) plan, or only the
 /// subgraph serving one sharing.
@@ -17,7 +17,7 @@ pub enum Scope {
 }
 
 impl Scope {
-    fn includes(&self, sharings: &std::collections::BTreeSet<SharingId>) -> bool {
+    fn includes(&self, sharings: &BTreeSet<SharingId>) -> bool {
         match self {
             Scope::All => true,
             Scope::Sharing(s) => sharings.contains(s),
@@ -36,13 +36,36 @@ pub fn critical_path(plan: &Plan, scope: Scope, x_secs: f64, model: &TimeCostMod
         Ok(o) => o,
         Err(_) => return SimDuration::from_secs(u64::MAX / 2_000_000),
     };
-    let mut dist: Vec<SimDuration> = vec![SimDuration::ZERO; plan.vertex_count()];
+    critical_path_in(
+        plan,
+        &order,
+        |e| scope.includes(&e.sharings),
+        x_secs,
+        model,
+        &mut Vec::new(),
+    )
+}
+
+/// The sweep behind [`critical_path`] over a given topological `order`,
+/// counting only edges `in_scope` accepts. `dist` is scratch space, reset
+/// here, so callers sweeping many scopes can reuse one buffer. Durations
+/// are integral, so any valid topological order gives the same result.
+pub(crate) fn critical_path_in(
+    plan: &Plan,
+    order: &[VertexId],
+    in_scope: impl Fn(&Edge) -> bool,
+    x_secs: f64,
+    model: &TimeCostModel,
+    dist: &mut Vec<SimDuration>,
+) -> SimDuration {
+    dist.clear();
+    dist.resize(plan.vertex_count(), SimDuration::ZERO);
     let mut best = SimDuration::ZERO;
-    for v in order {
+    for &v in order {
         let Some(edge) = plan.producer(v) else {
             continue;
         };
-        if !scope.includes(&edge.sharings) {
+        if !in_scope(edge) {
             continue;
         }
         let n = edge.est_rate * x_secs;
@@ -72,6 +95,13 @@ pub struct ResourceRates {
     pub stored_bytes: f64,
 }
 
+impl ResourceRates {
+    /// Dollars per second at `prices`.
+    pub fn dollars_per_sec(&self, prices: &PriceSheet) -> f64 {
+        prices.dollars_per_sec(self.cpu_util, self.net_bytes_per_sec, self.stored_bytes)
+    }
+}
+
 /// `resCost` inputs: sums each edge's CPU utilization (service seconds per
 /// second of updates), each `CopyDelta`'s byte rate, and each materialized
 /// vertex's storage footprint. With `amortized = true`, every element is
@@ -83,15 +113,40 @@ pub fn resource_rates(
     model: &TimeCostModel,
     amortized: bool,
 ) -> ResourceRates {
+    let share = |sharings: &BTreeSet<SharingId>| {
+        scope.includes(sharings).then(|| {
+            if amortized {
+                1.0 / sharings.len().max(1) as f64
+            } else {
+                1.0
+            }
+        })
+    };
+    resource_rates_in(
+        plan,
+        plan.vertices().iter().map(|v| v.id),
+        |e| share(&e.sharings),
+        |v| share(&v.sharings),
+        model,
+    )
+}
+
+/// The sums behind [`resource_rates`]: edges in index order, vertices in
+/// `order`. `edge_share`/`vertex_share` return an element's share of its
+/// cost, or `None` to leave it out. Float addition is order-sensitive, so
+/// a caller predicting the cost of a collected plan passes the order that
+/// collection would give the vertices.
+pub(crate) fn resource_rates_in(
+    plan: &Plan,
+    order: impl IntoIterator<Item = VertexId>,
+    edge_share: impl Fn(&Edge) -> Option<f64>,
+    vertex_share: impl Fn(&Vertex) -> Option<f64>,
+    model: &TimeCostModel,
+) -> ResourceRates {
     let mut r = ResourceRates::default();
     for e in plan.edges() {
-        if !scope.includes(&e.sharings) {
+        let Some(share) = edge_share(e) else {
             continue;
-        }
-        let share = if amortized {
-            1.0 / e.sharings.len().max(1) as f64
-        } else {
-            1.0
         };
         // CPU seconds consumed per second: marginal service time at the
         // steady arrival rate (fixed overheads amortize over batching and
@@ -102,14 +157,13 @@ pub fn resource_rates(
             r.net_bytes_per_sec += e.est_rate * e.est_tuple_bytes * share;
         }
     }
-    for v in plan.vertices() {
-        if v.is_base || v.kind != VertexKind::Relation || !scope.includes(&v.sharings) {
+    for v in order {
+        let v = plan.vertex(v);
+        if v.is_base || v.kind != VertexKind::Relation {
             continue;
         }
-        let share = if amortized {
-            1.0 / v.sharings.len().max(1) as f64
-        } else {
-            1.0
+        let Some(share) = vertex_share(v) else {
+            continue;
         };
         r.stored_bytes += v.est_card * v.est_tuple_bytes * share;
     }
@@ -124,8 +178,7 @@ pub fn res_cost(
     prices: &PriceSheet,
     amortized: bool,
 ) -> f64 {
-    let r = resource_rates(plan, scope, model, amortized);
-    prices.dollars_per_sec(r.cpu_util, r.net_bytes_per_sec, r.stored_bytes)
+    resource_rates(plan, scope, model, amortized).dollars_per_sec(prices)
 }
 
 /// Fraction of tuples whose M/M/1 sojourn time exceeds the staleness SLA

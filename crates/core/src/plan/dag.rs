@@ -156,7 +156,34 @@ pub struct Plan {
     consumers: Vec<Vec<usize>>,
     /// Fast duplicate detection: (kind, sig, machine) → vertex.
     index: HashMap<(VertexKind, ExprSig, MachineId), VertexId>,
+    /// Structural changes since the open [`Plan::mark`], newest last;
+    /// `None` when no mark is open.
+    journal: Option<Vec<Undo>>,
 }
+
+/// One journaled structural change, undone by [`Plan::rollback`].
+#[derive(Clone, Debug)]
+enum Undo {
+    /// A vertex was appended.
+    Vertex,
+    /// An edge was appended.
+    Edge,
+    /// `edge` was detached from `output`: its inputs, the slot it held in
+    /// each input's consumer list (original positions, ascending) and its
+    /// sharings.
+    Detach {
+        edge: usize,
+        output: VertexId,
+        inputs: Vec<VertexId>,
+        slots: Vec<(VertexId, usize)>,
+        sharings: BTreeSet<SharingId>,
+    },
+}
+
+/// An undo point returned by [`Plan::mark`].
+#[must_use = "an open mark journals every structural change until rolled back"]
+#[derive(Debug)]
+pub struct PlanMark(());
 
 impl Plan {
     /// Deterministic rendering of the plan's structure — vertices, edges and
@@ -284,6 +311,7 @@ impl Plan {
         });
         self.producer.push(None);
         self.consumers.push(Vec::new());
+        self.journal(Undo::Vertex);
         id
     }
 
@@ -338,6 +366,7 @@ impl Plan {
             est_rate,
             est_tuple_bytes,
         });
+        self.journal(Undo::Edge);
         Ok(id)
     }
 
@@ -354,11 +383,83 @@ impl Plan {
     pub fn detach_producer(&mut self, v: VertexId) -> Option<usize> {
         let e = self.producer[v.index()].take()?;
         let inputs = std::mem::take(&mut self.edges[e].inputs);
-        for input in inputs {
-            self.consumers[input.index()].retain(|&c| c != e);
+        let mut slots = Vec::new();
+        for &input in &inputs {
+            let list = &mut self.consumers[input.index()];
+            slots.extend(
+                list.iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c == e)
+                    .map(|(pos, _)| (input, pos)),
+            );
+            list.retain(|&c| c != e);
         }
-        self.edges[e].sharings.clear();
+        let sharings = std::mem::take(&mut self.edges[e].sharings);
+        if let Some(journal) = &mut self.journal {
+            journal.push(Undo::Detach {
+                edge: e,
+                output: v,
+                inputs,
+                slots,
+                sharings,
+            });
+        }
         Some(e)
+    }
+
+    /// Opens an undo point: every later `add_vertex`, `add_edge` and
+    /// `detach_producer` is journaled until [`Plan::rollback`] restores the
+    /// plan to this state — vertex and edge lists, producer and consumer
+    /// slots (consumer order included, which drives [`Plan::topo_order`])
+    /// and the signature index. `SHR` edits through `vertex_mut`/
+    /// `edges_mut` are not journaled. Marks do not nest.
+    pub fn mark(&mut self) -> PlanMark {
+        debug_assert!(self.journal.is_none(), "plan marks do not nest");
+        self.journal = Some(Vec::new());
+        PlanMark(())
+    }
+
+    /// Undoes every structural change since `mark`, newest first.
+    pub fn rollback(&mut self, _mark: PlanMark) {
+        let journal = self.journal.take().expect("rollback without an open mark");
+        for undo in journal.into_iter().rev() {
+            match undo {
+                Undo::Vertex => {
+                    let v = self.vertices.pop().expect("journaled vertex");
+                    self.producer.pop();
+                    self.consumers.pop();
+                    self.index.remove(&(v.kind, v.sig, v.machine));
+                }
+                Undo::Edge => {
+                    let e = self.edges.pop().expect("journaled edge");
+                    for input in e.inputs.iter().rev() {
+                        let popped = self.consumers[input.index()].pop();
+                        debug_assert_eq!(popped, Some(e.id));
+                    }
+                    self.producer[e.output.index()] = None;
+                }
+                Undo::Detach {
+                    edge,
+                    output,
+                    inputs,
+                    slots,
+                    sharings,
+                } => {
+                    for (input, pos) in slots {
+                        self.consumers[input.index()].insert(pos, edge);
+                    }
+                    self.edges[edge].inputs = inputs;
+                    self.edges[edge].sharings = sharings;
+                    self.producer[output.index()] = Some(edge);
+                }
+            }
+        }
+    }
+
+    fn journal(&mut self, undo: Undo) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(undo);
+        }
     }
 
     /// Topological order of vertices (sources first). Errors on cycles.

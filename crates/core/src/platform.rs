@@ -542,11 +542,7 @@ impl Smile {
                 &self.config.model,
                 &self.config.prices,
             )
-            .hill_climb_placement(
-                &mut global,
-                self.config.indexed_admission,
-                self.config.hill_climb_iterations,
-            );
+            .hill_climb_placement(&mut global, self.config.hill_climb_iterations);
             self.hc_report = Some(report);
             if self.config.indexed_admission {
                 // Plumbing + garbage collection remapped vertex ids.

@@ -1140,3 +1140,130 @@ proptest! {
         prop_assert_eq!(cal, scan);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Hill climbing: the in-place scorer must pick exactly the moves the
+// clone → apply → check → cost loop picks.
+
+use smile::core::multi::{apply_plumbing, enumerate_plumbings, hill_climb, GlobalPlan, Plumbing};
+use smile::sim::PriceSheet;
+use smile::workload::sharings::paper_sharings;
+use smile::workload::twitter::{TwitterConfig, TwitterWorkload};
+
+/// One requested paper sharing: index into `paper_sharings`, MV machine,
+/// SLA milliseconds.
+type HcSpec = (usize, u32, u64);
+
+const HC_MACHINES: u32 = 4;
+
+/// SLAs of 20–80 ms straddle the critical paths these sharings have at
+/// the default rates (about 10–60 ms), so some submissions and some
+/// plumbing candidates — sometimes the best-benefit one — are rejected on
+/// SLA grounds.
+fn arb_hill_climb_case() -> impl Strategy<Value = (Vec<HcSpec>, bool)> {
+    (
+        proptest::collection::vec((0usize..25, 0u32..HC_MACHINES, 20u64..81), 3..12),
+        any::<bool>(),
+    )
+}
+
+/// The global plan `install` would hill-climb for `specs` (rejected
+/// submissions are skipped), with the platform's model and prices.
+fn hill_climb_input(specs: &[HcSpec]) -> (GlobalPlan, TimeCostModel, PriceSheet) {
+    let mut config = SmileConfig::with_machines(HC_MACHINES as usize);
+    config.hill_climb = false;
+    let mut smile = Smile::new(config);
+    let workload = TwitterWorkload::register(&mut smile, TwitterConfig::default()).unwrap();
+    let paper = paper_sharings(&workload.rels());
+    for &(index, pin, sla) in specs {
+        let s = &paper[index];
+        let _ = smile.submit_pinned(
+            s.app,
+            s.query.clone(),
+            SimDuration::from_millis(sla),
+            0.001,
+            Some(MachineId::new(pin)),
+        );
+    }
+    let mut global = GlobalPlan::new();
+    for sharing in smile.sharings() {
+        global
+            .merge(sharing, smile.planned(sharing.id).unwrap())
+            .unwrap();
+    }
+    (global, smile.config.model.clone(), smile.config.prices)
+}
+
+/// Reference hill climber: every candidate is applied to a clone of the
+/// plan, collected, SLA-checked and costed; the first strictly best
+/// benefit wins. Returns the applied moves and the trajectory.
+fn reference_hill_climb(
+    g: &mut GlobalPlan,
+    model: &TimeCostModel,
+    prices: &PriceSheet,
+    max_iterations: usize,
+    allow_join_plumbing: bool,
+) -> (Vec<Plumbing>, Vec<(usize, usize, f64)>) {
+    let state = |g: &GlobalPlan| {
+        (
+            g.plan.vertex_count(),
+            g.plan.edge_count(),
+            g.total_cost(model, prices),
+        )
+    };
+    let mut applied = Vec::new();
+    let mut trajectory = vec![state(g)];
+    for _ in 0..max_iterations {
+        let current = g.total_cost(model, prices);
+        let mut best: Option<(f64, Plumbing, GlobalPlan)> = None;
+        for cand in enumerate_plumbings(g) {
+            if !allow_join_plumbing && matches!(cand, Plumbing::Join { .. }) {
+                continue;
+            }
+            let Ok(next) = apply_plumbing(g, &cand) else {
+                continue;
+            };
+            if !next.all_slas_hold(model) {
+                continue;
+            }
+            let benefit = current - next.total_cost(model, prices);
+            if benefit > 1e-15 && best.as_ref().is_none_or(|(b, _, _)| benefit > *b) {
+                best = Some((benefit, cand, next));
+            }
+        }
+        let Some((_, cand, next)) = best else { break };
+        *g = next;
+        applied.push(cand);
+        trajectory.push(state(g));
+    }
+    (applied, trajectory)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        .. ProptestConfig::default()
+    })]
+
+    /// Over random subsets of the paper's sharings, random MV pins, SLAs
+    /// tight enough to reject some candidates, and with join plumbing on or
+    /// off, `hill_climb` applies the same moves as the reference loop, with
+    /// a bit-identical cost trajectory and the same final plan.
+    #[test]
+    fn hill_climb_matches_clone_and_collect_reference(
+        (specs, allow_join) in arb_hill_climb_case()
+    ) {
+        let (global, model, prices) = hill_climb_input(&specs);
+        let mut fast = global.clone();
+        let mut reference = global;
+        let report = hill_climb(&mut fast, &model, &prices, 64, allow_join);
+        let (applied, trajectory) =
+            reference_hill_climb(&mut reference, &model, &prices, 64, allow_join);
+        prop_assert_eq!(&report.applied, &applied);
+        let bits = |t: &[(usize, usize, f64)]| {
+            t.iter().map(|&(v, e, c)| (v, e, c.to_bits())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&report.trajectory), bits(&trajectory));
+        prop_assert_eq!(fast.plan.canonical_string(), reference.plan.canonical_string());
+    }
+}
